@@ -545,6 +545,12 @@ class ShardedFrontend:
             raise _HttpError(
                 411, _error_body("Content-Length header is required"), close=True
             ) from None
+        if length < 0:
+            raise _HttpError(
+                400,
+                _error_body("Content-Length must be a non-negative integer"),
+                close=True,
+            )
         if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413,

@@ -11,6 +11,10 @@ responses.  Design points:
   the client).
 * **Observability.**  Every request — including errors — is timed and
   counted in the service's :class:`~repro.service.metrics.MetricsRegistry`.
+* **One write per response.**  The handler sends its status line,
+  headers and body in a single ``send`` on a ``TCP_NODELAY`` socket.
+  Split across two writes on a Nagle socket, the body would wait for
+  the client's delayed ACK of the head (about 40 ms per response).
 * **Graceful drain.**  ``daemon_threads`` is off and ``block_on_close``
   on, so ``shutdown()`` stops accepting while ``server_close()`` joins
   every in-flight handler thread; :func:`serve` wires SIGTERM/SIGINT to
@@ -59,6 +63,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"  # keep-alive; we always send Content-Length
+    # TCP_NODELAY, so stdlib ``send_error`` (head and body in two writes)
+    # does not stall on the client's delayed ACK either.
+    disable_nagle_algorithm = True
 
     POST_ENDPOINTS = ("/v1/test", "/v1/partition", "/v1/batch")
     GET_ENDPOINTS = ("/healthz", "/metrics")
@@ -79,8 +86,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        # end_headers() would flush the head in a write of its own; send
+        # the buffered head, the blank line and the body together.  A
+        # handler instance serves one connection on one thread, so its
+        # header buffer needs no lock.
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []  # repro: noqa[REP010]
+        self.wfile.write(head + payload)
 
     def _send_json(self, status: int, body: dict[str, Any]) -> None:
         self._send(
@@ -98,6 +112,12 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             raise _RequestError(
                 411, _error_body("Content-Length header is required")
             ) from None
+        if length < 0:
+            self.close_connection = True  # body length unknown
+            raise _RequestError(
+                400,
+                _error_body("Content-Length must be a non-negative integer"),
+            )
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # refuse to read it
             raise _RequestError(

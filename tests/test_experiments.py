@@ -241,17 +241,23 @@ class TestE23SpeedupDeadline:
                 assert row["max alpha"] == pytest.approx(1.0)
 
 
+@pytest.fixture(scope="module")
+def e13_result():
+    """E13 is the slowest quick-scale experiment; run it once for both tests."""
+    return run("e13")
+
+
 class TestE13Simulation:
-    def test_zero_misses_on_accepted_rows(self):
-        res = run("e13")
+    def test_zero_misses_on_accepted_rows(self, e13_result):
+        res = e13_result
         control = res.rows[-1]
         assert control["deadline misses"] > 0  # overload control
         for row in res.rows[:-1]:
             assert row["deadline misses"] == 0
             assert row["validator errors"] == 0
 
-    def test_render_includes_notes(self):
-        res = run("e13")
+    def test_render_includes_notes(self, e13_result):
+        res = e13_result
         out = res.render()
         assert "e13" in out
         assert "overload" in out

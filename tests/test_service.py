@@ -3,7 +3,8 @@
 A real ``ThreadingHTTPServer`` on an ephemeral port, exercised through
 ``ServiceClient`` and raw sockets: correctness-vs-direct-call
 equivalence, canonical-instance cache behaviour, concurrent clients,
-structured error paths, metrics, and graceful shutdown.
+structured error paths, metrics, transport (one write per response on a
+``TCP_NODELAY`` socket), and graceful shutdown.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import json
 import os
 import re
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -30,9 +34,12 @@ from repro.core.partition import first_fit_partition
 from repro.io_.serialize import (
     instance_digest,
     partition_result_to_dict,
+    platform_to_dict,
     report_to_dict,
+    taskset_to_dict,
 )
 from repro.service import LRUCache, ServiceClient, ServiceError, make_server
+from repro.service.server import MAX_BODY_BYTES, ReproRequestHandler
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
 
@@ -370,6 +377,159 @@ class TestErrors:
             bad_client.test(taskset, platform, scheduler="bogus")
         assert exc_info.value.status == 400
         assert any(e["field"] == "scheduler" for e in exc_info.value.fields)
+
+
+def _instance_body(seed: int) -> dict:
+    taskset, platform = _instance(seed)
+    return {
+        "taskset": taskset_to_dict(taskset),
+        "platform": platform_to_dict(platform),
+    }
+
+
+def _http_request(
+    method: str, path: str, body: bytes | None = None, *headers: str
+) -> bytes:
+    """Raw HTTP/1.1 request bytes; ``body`` gets a matching Content-Length."""
+    lines = [f"{method} {path} HTTP/1.1", "Host: localhost", *headers]
+    if body is not None:
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
+
+
+def _read_response(reader) -> tuple[int, bytes]:
+    """Read one response (status line, headers, Content-Length body)."""
+    status = int(reader.readline().split()[1])
+    length = 0
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        key, _, value = line.partition(b":")
+        if key.strip().lower() == b"content-length":
+            length = int(value)
+    return status, reader.read(length)
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile`` and logs every write's bytes."""
+
+    def __init__(self, wfile, log: list[bytes]):
+        self._wfile = wfile
+        self._log = log
+
+    def write(self, data) -> int:
+        self._log.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name: str):
+        return getattr(self._wfile, name)
+
+
+class _CountingHandler(ReproRequestHandler):
+    """Logs, per connection, the writes and the socket's TCP_NODELAY."""
+
+    def setup(self) -> None:
+        super().setup()
+        writes: list[bytes] = []
+        nodelay = self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        self.server.connections.append((nodelay, writes))  # type: ignore[attr-defined]
+        self.wfile = _CountingWriter(self.wfile, writes)
+
+
+class TestTransport:
+    """Each response the handler emits leaves in one write on a socket
+    with Nagle off, so no response waits on the client's delayed ACK."""
+
+    @pytest.fixture(scope="class")
+    def counting_server(self):
+        srv = make_server(port=0, jobs=1, cache_size=64)
+        srv.RequestHandlerClass = _CountingHandler
+        srv.connections = []
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        yield srv
+        srv.shutdown()
+        thread.join(timeout=10)
+        srv.server_close()
+
+    def _exchange(self, srv, request: bytes) -> bytes:
+        """One request on a fresh connection that the server closes after
+        the response; asserts it arrived in one write and returns it."""
+        host, port = srv.server_address[:2]
+        before = len(srv.connections)
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        assert len(srv.connections) == before + 1
+        nodelay, writes = srv.connections[-1]
+        assert nodelay, "accepted socket must have TCP_NODELAY set"
+        assert len(writes) == 1, [len(w) for w in writes]
+        assert writes[0] == received
+        return received
+
+    def test_every_handler_response_is_one_write(self, counting_server, monkeypatch):
+        body = _instance_body(21)
+        partition = {**body, "test": "edf", "alpha": 2.0}
+        batch = {"instances": [body, _instance_body(22)]}
+        close = "Connection: close"
+        cases = [
+            (200, _http_request("POST", "/v1/test", json.dumps(body).encode(), close)),
+            (200, _http_request("POST", "/v1/partition", json.dumps(partition).encode(), close)),
+            (200, _http_request("POST", "/v1/batch", json.dumps(batch).encode(), close)),
+            (200, _http_request("GET", "/healthz", None, close)),
+            (200, _http_request("GET", "/metrics", None, close)),
+            (200, _http_request("GET", "/metrics?format=prometheus", None, close)),
+            (400, _http_request("POST", "/v1/test", b"{not json", close)),
+            (400, _http_request("POST", "/v1/test", None, close, "Content-Length: -1")),
+            (404, _http_request("POST", "/v1/nope", b"{}", close)),
+            (405, _http_request("GET", "/v1/test", None, close)),
+            (411, _http_request("POST", "/v1/test", None, close)),
+            (413, _http_request(
+                "POST", "/v1/test", None, close,
+                f"Content-Length: {MAX_BODY_BYTES + 1}",
+            )),
+        ]
+        for expected, request in cases:
+            received = self._exchange(counting_server, request)
+            assert received.startswith(b"HTTP/1.1 %d " % expected), request[:40]
+        # HTTP/0.9: the body alone, with no head, in one write as well
+        received = self._exchange(counting_server, b"GET /healthz\r\n\r\n")
+        assert json.loads(received)["status"] == "ok"
+
+        def boom(payload):
+            raise RuntimeError("planted handler bug")
+
+        monkeypatch.setattr(counting_server.service, "handle_test", boom)
+        received = self._exchange(
+            counting_server,
+            _http_request("POST", "/v1/test", json.dumps(body).encode(), close),
+        )
+        assert received.startswith(b"HTTP/1.1 500 ")
+        assert b"internal server error" in received
+
+    def test_keepalive_round_trip_is_not_delayed_ack_bound(self, base_url):
+        """The delayed-ACK stall's floor is 40 ms per response; a warm
+        keep-alive round trip costs about 1 ms."""
+        host, port = base_url.rsplit("/", 1)[1].split(":")
+        request = _http_request(
+            "POST", "/v1/test", json.dumps(_instance_body(23)).encode()
+        )
+        with (
+            socket.create_connection((host, int(port)), timeout=30) as sock,
+            sock.makefile("rb") as reader,  # closing it frees the handler thread
+        ):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(request)  # warm the cache
+            assert _read_response(reader)[0] == 200
+            round_trips = []
+            for _ in range(30):
+                t0 = time.perf_counter()
+                sock.sendall(request)
+                status, raw = _read_response(reader)
+                round_trips.append(time.perf_counter() - t0)
+                assert status == 200
+                assert json.loads(raw)["cached"] is True
+        assert statistics.median(round_trips) < 0.020, round_trips
 
 
 class TestConstrainedValidation:

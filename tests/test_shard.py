@@ -28,6 +28,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ def _get(url: str) -> tuple[int, bytes]:
             return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
+
+
+def _raw_exchange(url: str, request: bytes) -> tuple[int, bytes, bytes]:
+    """Send raw ``request`` bytes on a fresh connection.
+
+    Returns the status, the Content-Length body, and whatever arrives
+    after it until the server closes the connection.
+    """
+    address = urlsplit(url)
+    with (
+        socket.create_connection((address.hostname, address.port), timeout=10) as sock,
+        sock.makefile("rb") as reader,
+    ):
+        sock.sendall(request)
+        status = int(reader.readline().split()[1])
+        length = 0
+        while (line := reader.readline()) not in (b"\r\n", b""):
+            key, _, value = line.partition(b":")
+            if key.strip().lower() == b"content-length":
+                length = int(value)
+        body = reader.read(length)
+        return status, body, reader.read()
 
 
 class _ShardedProc:
@@ -360,6 +383,20 @@ class TestCrossProcessDeterminism:
                     _post(sharded.url + path, body)
                     == _post(reference + path, body)
                 )
+            # A negative length gets a 400 and a closed connection, not a
+            # read that waits for the client to half-close.
+            negative = (
+                b"POST /v1/test HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            got = _raw_exchange(sharded.url, negative)
+            assert got == _raw_exchange(reference, negative)
+            status, body, after = got
+            assert status == 400
+            assert json.loads(body)["error"]["message"] == (
+                "Content-Length must be a non-negative integer"
+            )
+            assert after == b""
             sharded.terminate()
 
     def test_same_instance_lands_on_same_shard_cache(self):
