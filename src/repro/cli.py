@@ -45,11 +45,11 @@ from .workloads.platforms import geometric_platform
 __all__ = ["main", "build_parser"]
 
 
-def _jobs_arg(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 0, got {jobs}")
-    return jobs
+def _count_arg(value: str) -> int:
+    count = int(value)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=Path, default=None, help="also write rows as CSV")
     p.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_count_arg,
         default=None,
         metavar="N",
         help=(
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8080, help="0 picks an ephemeral port")
     p.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_count_arg,
         default=1,
         metavar="N",
         help=(
@@ -180,13 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_count_arg,
         default=0,
         metavar="N",
         help=(
-            "run the sharded multi-process front end with N shard "
-            "workers, each owning a private verdict cache (0, the "
-            "default: the single-process threaded server)"
+            "shard worker processes, each owning a private verdict "
+            "cache (0, the default: one in-process shard)"
         ),
     )
     p.add_argument(
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_count_arg,
         default=1,
         metavar="N",
         help="worker processes (0: all cores; 1: serial in-process)",
@@ -563,28 +562,18 @@ def _cmd_slack(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers > 0:
-        from .service.frontend import serve_sharded
+    from .service.frontend import serve_sharded
 
-        # Shard workers are serial by design (parallelism comes from
-        # the worker pool itself), so --jobs does not apply here.
-        return serve_sharded(
-            args.host,
-            args.port,
-            workers=args.workers,
-            cache_size=args.cache_size,
-            backend=args.backend,
-            chaos=args.chaos,
-            quiet=not args.verbose,
-        )
-    from .service.server import serve
-
-    return serve(
+    # --jobs sizes the in-process shard's batch pool; worker shards are
+    # serial by design (parallelism comes from the worker pool itself).
+    return serve_sharded(
         args.host,
         args.port,
+        workers=args.workers,
         jobs=args.jobs,
         cache_size=args.cache_size,
         backend=args.backend,
+        chaos=args.chaos,
         quiet=not args.verbose,
     )
 

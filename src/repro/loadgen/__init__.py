@@ -1,10 +1,10 @@
 """Load generation for the feasibility-query service.
 
-The serving stack (single-process :mod:`repro.service.server` and the
-sharded :mod:`repro.service.frontend`) needs a measurement story of its
-own: verdict micro-benchmarks say nothing about sustained RPS, tail
-latency, or how a shard's private cache behaves under a real request
-mix.  This package is that story:
+The serving stack (the :mod:`repro.service.frontend` HTTP front end,
+with an in-process shard or N worker processes) needs a measurement
+story of its own: verdict micro-benchmarks say nothing about sustained
+RPS, tail latency, or how a shard's private cache behaves under a real
+request mix.  This package is that story:
 
 * :mod:`~repro.loadgen.arrivals` — open-loop arrival processes
   (Poisson and periodic-burst), seeded and deterministic;

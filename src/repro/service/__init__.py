@@ -5,14 +5,15 @@ paper's Theorem I.1–I.4 verdicts (plus raw first-fit partitions) over
 HTTP from a long-lived process with canonical-instance caching and
 request-level metrics:
 
-* :class:`~repro.service.app.FeasibilityService` — transport-free logic;
-* :mod:`~repro.service.server` — the single-process
-  ``ThreadingHTTPServer`` front-end (``repro serve`` on the CLI);
-* :mod:`~repro.service.frontend` / :mod:`~repro.service.shard` /
-  :mod:`~repro.service.protocol` — the sharded multi-process front end
-  (``repro serve --workers N``): digest-routed worker processes, each
-  owning a private verdict LRU, byte-identical responses to the
-  single-process server;
+* :class:`~repro.service.app.FeasibilityService` — transport-free logic,
+  and the one copy of the payload → unit and outcome → response code;
+* :mod:`~repro.service.frontend` — the asyncio HTTP front end, the only
+  HTTP stack (``repro serve`` on the CLI): one in-process shard by
+  default (``--workers 0``), whose evaluations run off the event loop;
+* :mod:`~repro.service.shard` / :mod:`~repro.service.protocol` — the
+  worker processes of ``repro serve --workers N``: digest-routed, each
+  owning a private verdict LRU, with responses byte-identical to the
+  in-process shard's;
 * :class:`~repro.service.client.ServiceClient` — stdlib client wrapper;
 * :mod:`~repro.service.cache` / :mod:`~repro.service.metrics` /
   :mod:`~repro.service.validation` — the supporting pieces.
@@ -27,7 +28,6 @@ from .cache import CacheStats, LRUCache
 from .client import ServiceClient, ServiceError
 from .frontend import ShardedFrontend, serve_sharded
 from .metrics import MetricsRegistry
-from .server import ReproServer, make_server, serve
 from .shard import ShardCore
 from .validation import (
     FieldError,
@@ -46,11 +46,8 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "MetricsRegistry",
-    "ReproServer",
     "ShardCore",
     "ShardedFrontend",
-    "make_server",
-    "serve",
     "serve_sharded",
     "FieldError",
     "PartitionQuery",

@@ -1,9 +1,13 @@
 """Transport-independent service logic: parse → canonicalize → cache → answer.
 
-The HTTP layer (:mod:`repro.service.server`) is a thin adapter over
-:class:`FeasibilityService`; everything interesting — canonical-instance
-caching, index remapping, batch fan-out — lives here and is unit-testable
-without a socket.
+The HTTP front end (:mod:`repro.service.frontend`) and
+:class:`FeasibilityService` share one copy of the request and response
+code: :func:`parse_test_unit` / :func:`parse_partition_unit` /
+:func:`parse_batch_units` turn a decoded payload into the units a
+:class:`~repro.service.shard.ShardCore` evaluates, and
+:func:`respond_test` / :func:`respond_partition` / :func:`respond_batch`
+turn its canonical outcomes back into response dicts in the client's
+submission order.  Everything here is unit-testable without a socket.
 
 Canonical-instance caching
 --------------------------
@@ -35,16 +39,28 @@ from .metrics import MetricsRegistry
 from .protocol import PartitionUnit, TestUnit
 from .shard import ShardCore, partition_query_digest, test_query_digest
 from .validation import (
+    TestQuery,
     parse_batch_request,
     parse_partition_request,
     parse_test_request,
 )
 
-__all__ = ["FeasibilityService"]
+__all__ = [
+    "FeasibilityService",
+    "parse_batch_units",
+    "parse_partition_unit",
+    "parse_test_unit",
+    "respond_batch",
+    "respond_partition",
+    "respond_test",
+]
+
+#: What a shard returns per unit: the canonical dict and its cache flag.
+Outcome = tuple[dict[str, Any], bool]
 
 
 def _remap_partition_dict(
-    canon: dict[str, Any], order: list[int]
+    canon: dict[str, Any], order: tuple[int, ...]
 ) -> dict[str, Any]:
     """Translate a canonical-order partition dict to submission order.
 
@@ -66,7 +82,9 @@ def _remap_partition_dict(
     return out
 
 
-def _remap_report_dict(canon: dict[str, Any], order: list[int]) -> dict[str, Any]:
+def _remap_report_dict(
+    canon: dict[str, Any], order: tuple[int, ...]
+) -> dict[str, Any]:
     """Translate a canonical-order report dict to submission order."""
     out = dict(canon)
     out["partition"] = _remap_partition_dict(canon["partition"], order)
@@ -75,6 +93,80 @@ def _remap_report_dict(canon: dict[str, Any], order: list[int]) -> dict[str, Any
     if canon.get("certificate") is not None:
         out["certificate"] = copy.deepcopy(canon["certificate"])
     return out
+
+
+def _test_unit(q: TestQuery) -> TestUnit:
+    digest, _ = test_query_digest(q)
+    return TestUnit(
+        digest=digest,
+        taskset=q.taskset,
+        order=tuple(canonical_task_order(q.taskset)),
+        platform=q.platform,
+        scheduler=q.scheduler,
+        adversary=q.adversary,
+        alpha=q.alpha,
+    )
+
+
+def parse_test_unit(payload: Any) -> TestUnit:
+    """A ``/v1/test`` payload as the unit a shard evaluates.
+
+    The unit carries the cache digest and the canonical task ``order``
+    the response is remapped with.
+    """
+    return _test_unit(parse_test_request(payload))
+
+
+def parse_partition_unit(payload: Any) -> PartitionUnit:
+    """A ``/v1/partition`` payload as the unit a shard evaluates."""
+    q = parse_partition_request(payload)
+    return PartitionUnit(
+        digest=partition_query_digest(q),
+        taskset=q.taskset,
+        order=tuple(canonical_task_order(q.taskset)),
+        platform=q.platform,
+        test=q.test,
+        alpha=q.alpha,
+    )
+
+
+def parse_batch_units(payload: Any) -> list[TestUnit]:
+    """A ``/v1/batch`` payload as test units, in submission order."""
+    return [_test_unit(q) for q in parse_batch_request(payload)]
+
+
+def respond_test(unit: TestUnit, outcome: Outcome) -> dict[str, Any]:
+    """The ``/v1/test`` response for ``unit``, in submission order."""
+    canon, cached = outcome
+    return {
+        "digest": unit.digest,
+        "cached": cached,
+        "report": _remap_report_dict(canon, unit.order),
+    }
+
+
+def respond_partition(unit: PartitionUnit, outcome: Outcome) -> dict[str, Any]:
+    """The ``/v1/partition`` response for ``unit``, in submission order."""
+    canon, cached = outcome
+    return {
+        "digest": unit.digest,
+        "cached": cached,
+        "result": _remap_partition_dict(canon, unit.order),
+    }
+
+
+def respond_batch(
+    units: list[TestUnit], outcomes: list[Outcome]
+) -> dict[str, Any]:
+    """The ``/v1/batch`` response; ``outcomes`` align with ``units``."""
+    return {
+        "count": len(units),
+        "cached": sum(1 for _, cached in outcomes if cached),
+        "results": [
+            respond_test(unit, outcome)
+            for unit, outcome in zip(units, outcomes)
+        ],
+    }
 
 
 class FeasibilityService:
@@ -87,12 +179,14 @@ class FeasibilityService:
     feasibility tests are pure functions of their arguments.
 
     All evaluation and caching lives in :class:`~repro.service.shard.ShardCore`
-    — the same engine every worker of the sharded front end
-    (:mod:`repro.service.frontend`) runs — so this single-process
-    server and the multi-process one cannot drift apart on a verdict
-    byte.  This class owns what a shard does not: payload parsing,
-    digest/order computation, and remapping responses back to the
-    client's submission order.
+    — the same engine every shard of the HTTP front end
+    (:mod:`repro.service.frontend`) runs — and the payload and response
+    code is the module-level helpers the front end uses too, so this
+    class and the server cannot drift apart on a verdict byte.  The
+    front end's in-process shard (``repro serve --workers 0``) is one
+    of these: it evaluates through :attr:`core` and answers ``/healthz``
+    and ``/metrics`` from :meth:`handle_healthz`, :meth:`metrics_json`
+    and :meth:`metrics_prometheus`.
     """
 
     def __init__(
@@ -121,68 +215,16 @@ class FeasibilityService:
         )
         self._started = time.monotonic()
 
-    # The single-process server is one shard that owns everything; keep
-    # its pre-shard public surface as thin views onto the core.
-    @property
-    def jobs(self) -> int:
-        return self.core.jobs
-
-    @property
-    def backend(self) -> str | None:
-        return self.core.backend
-
-    @property
-    def cache(self):
-        return self.core.cache
-
-    # Seam for tests (e.g. holding a request in flight to prove graceful
-    # drain); the HTTP layer calls it before dispatching each request.
-    def before_handle(self, endpoint: str) -> None:
-        return None
-
     # -- endpoints ----------------------------------------------------------
     def handle_test(self, payload: Any) -> dict[str, Any]:
         """``POST /v1/test`` — one per-theorem verdict, cached."""
-        q = parse_test_request(payload)
-        digest, _ = test_query_digest(q)
-        order = canonical_task_order(q.taskset)
-        canon, cached = self.core.test(
-            TestUnit(
-                digest=digest,
-                taskset=q.taskset,
-                order=tuple(order),
-                platform=q.platform,
-                scheduler=q.scheduler,
-                adversary=q.adversary,
-                alpha=q.alpha,
-            )
-        )
-        return {
-            "digest": digest,
-            "cached": cached,
-            "report": _remap_report_dict(canon, order),
-        }
+        unit = parse_test_unit(payload)
+        return respond_test(unit, self.core.test(unit))
 
     def handle_partition(self, payload: Any) -> dict[str, Any]:
         """``POST /v1/partition`` — a first-fit assignment, cached."""
-        q = parse_partition_request(payload)
-        digest = partition_query_digest(q)
-        order = canonical_task_order(q.taskset)
-        canon, cached = self.core.partition(
-            PartitionUnit(
-                digest=digest,
-                taskset=q.taskset,
-                order=tuple(order),
-                platform=q.platform,
-                test=q.test,
-                alpha=q.alpha,
-            )
-        )
-        return {
-            "digest": digest,
-            "cached": cached,
-            "result": _remap_partition_dict(canon, order),
-        }
+        unit = parse_partition_unit(payload)
+        return respond_partition(unit, self.core.partition(unit))
 
     def handle_batch(self, payload: Any) -> dict[str, Any]:
         """``POST /v1/batch`` — many verdicts, cache-aware, pool-dispatched.
@@ -192,38 +234,8 @@ class FeasibilityService:
         process pool otherwise) and are cached for the next caller.
         Results come back in submission order regardless of ``jobs``.
         """
-        queries = parse_batch_request(payload)
-        orders: list[list[int]] = []
-        units: list[TestUnit] = []
-        for q in queries:
-            digest, _ = test_query_digest(q)
-            order = canonical_task_order(q.taskset)
-            orders.append(order)
-            units.append(
-                TestUnit(
-                    digest=digest,
-                    taskset=q.taskset,
-                    order=tuple(order),
-                    platform=q.platform,
-                    scheduler=q.scheduler,
-                    adversary=q.adversary,
-                    alpha=q.alpha,
-                )
-            )
-        outcomes = self.core.batch(units)
-        hits = sum(1 for _, cached in outcomes if cached)
-        return {
-            "count": len(queries),
-            "cached": hits,
-            "results": [
-                {
-                    "digest": units[k].digest,
-                    "cached": cached,
-                    "report": _remap_report_dict(canon, orders[k]),
-                }
-                for k, (canon, cached) in enumerate(outcomes)
-            ],
-        }
+        units = parse_batch_units(payload)
+        return respond_batch(units, self.core.batch(units))
 
     def handle_healthz(self) -> dict[str, Any]:
         """``GET /healthz`` — liveness plus basic identity."""
@@ -231,17 +243,17 @@ class FeasibilityService:
             "status": "ok",
             "version": __version__,
             "uptime_seconds": time.monotonic() - self._started,
-            "jobs": self.jobs,
-            "backend": self.backend or "scalar",
-            "cache": self.cache.stats().as_dict(),
+            "jobs": self.core.jobs,
+            "backend": self.core.backend or "scalar",
+            "cache": self.core.cache.stats().as_dict(),
         }
 
     def metrics_json(self) -> dict[str, Any]:
         """``GET /metrics`` (JSON rendering)."""
-        out = self.metrics.as_dict(self.cache.stats())
+        out = self.metrics.as_dict(self.core.cache.stats())
         out["uptime_seconds"] = time.monotonic() - self._started
         return out
 
     def metrics_prometheus(self) -> str:
         """``GET /metrics?format=prometheus`` (text exposition)."""
-        return self.metrics.render_prometheus(self.cache.stats())
+        return self.metrics.render_prometheus(self.core.cache.stats())

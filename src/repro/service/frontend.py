@@ -1,26 +1,34 @@
-"""Sharded multi-process front end: asyncio dispatcher + worker pool.
+"""The HTTP front end of ``repro serve``: one asyncio process, N shards.
 
-The second service architecture (the first is the single-process
-:mod:`repro.service.server`): one asyncio process owns the HTTP surface
-and routes every verdict request to one of N worker processes
-(:mod:`repro.service.shard`) keyed by a prefix of the canonical
-:func:`~repro.io_.serialize.instance_digest`.  Each worker owns a
-private verdict LRU — the digest routing guarantees a canonical
-instance is only ever seen by one worker, so there is no cross-process
-locking, no shared memory, and no cache-coherence protocol at all.
+This is the only HTTP stack of :mod:`repro.service`.  One asyncio
+process owns the HTTP surface and routes every verdict request to a
+shard keyed by a prefix of the canonical
+:func:`~repro.io_.serialize.instance_digest`.  Every shard wraps one
+:class:`~repro.service.shard.ShardCore`, so a canonical instance is
+only ever seen by one verdict cache:
+
+* ``--workers 0`` (the default) — one in-process shard.  Each
+  evaluation runs in the event loop's default executor, never on the
+  loop thread: a 512×64 miss or a batch evaluated inline would stall
+  every other keep-alive connection until it finished.  ``--jobs``
+  fans ``/v1/batch`` misses out over a process pool.  ``/healthz`` and
+  ``/metrics`` are those of
+  :class:`~repro.service.app.FeasibilityService`.
+* ``--workers N`` — N worker processes (:mod:`repro.service.shard`),
+  each owning a private verdict LRU; no cross-process locking, no
+  shared memory, no cache-coherence protocol.
 
 Division of labour per request:
 
 * **front end** — HTTP parsing, JSON decode, payload validation,
   canonical order + digest computation, shard routing, response
-  remapping to submission order, JSON encode.  ``/v1/batch`` splits its
-  payload by shard, fans the sub-batches out concurrently, and
-  reassembles the responses positionally (the same
+  remapping to submission order, JSON encode.  The payload and
+  response code is the one copy in :mod:`repro.service.app`.
+  ``/v1/batch`` splits its payload by shard, fans the sub-batches out
+  concurrently, and reassembles the responses positionally (the same
   positional-reduction discipline as :mod:`repro.runner`), so the body
-  is byte-identical to the single-process server's.
-* **worker** — cache lookup and verdict evaluation only, through the
-  same :class:`~repro.service.shard.ShardCore` the single-process
-  service uses.
+  does not depend on the worker count.
+* **shard** — cache lookup and verdict evaluation only.
 
 Worker lifecycle: workers are spawned as subprocesses over an
 inherited ``socketpair`` (pre-fork style, no dependence on fork safety
@@ -31,12 +39,18 @@ replay also died.  SIGTERM drains: stop accepting, finish in-flight
 HTTP requests, send every worker a ``shutdown`` frame (FIFO after its
 pending work), then reap the processes.
 
+HTTP: HTTP/1.1 keep-alive (HTTP/1.0 closes unless the client asks for
+keep-alive), ``Expect: 100-continue``, and structured JSON errors for
+everything, including a malformed request line (400), an overlong
+request line (414) and oversized or too many header lines (431).  Each
+response leaves in one write on a ``TCP_NODELAY`` socket.
+
 Consistency guarantees (see ``docs/service.md``): report and digest
-bytes are identical to the single-process server for every worker
-count and backend; the ``cached`` flags agree whenever the comparison
-is run from a cold start with per-worker capacity at least the working
-set (sharding changes cache *architecture*, so eviction patterns under
-pressure legitimately differ).
+bytes are identical for every worker count and backend; the ``cached``
+flags agree whenever the comparison is run from a cold start with
+per-worker capacity at least the working set (sharding changes cache
+*architecture*, so eviction patterns under pressure legitimately
+differ).
 """
 
 # repro: noqa-file[REP006, REP010] — every object here lives on the
@@ -55,29 +69,36 @@ import subprocess
 import sys
 import time
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Awaitable, Callable
 
 from .. import __version__
-from ..io_.serialize import canonical_task_order, shard_for_digest
-from .app import _remap_partition_dict, _remap_report_dict
+from ..io_.serialize import shard_for_digest
+from .app import (
+    FeasibilityService,
+    parse_batch_units,
+    parse_partition_unit,
+    parse_test_unit,
+    respond_batch,
+    respond_partition,
+    respond_test,
+)
 from .metrics import MetricsRegistry, render_shard_prometheus
-from .protocol import (
-    PartitionUnit,
-    TestUnit,
-    frame_bytes,
-    read_frame_async,
-)
-from .server import MAX_BODY_BYTES, _error_body
-from .validation import (
-    ValidationError,
-    parse_batch_request,
-    parse_partition_request,
-    parse_test_request,
-)
-from .shard import partition_query_digest, test_query_digest
+from .protocol import frame_bytes, read_frame_async
+from .shard import ShardCore
+from .validation import ValidationError
 
-__all__ = ["ShardedFrontend", "serve_sharded"]
+__all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "ShardedFrontend", "serve_sharded"]
+
+#: Largest accepted request body, in bytes.  A MAX_BATCH batch of
+#: MAX_TASKS-task instances would exceed this — by design; the limit is
+#: the serving-path backstop against memory abuse.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Most header lines one request may carry (the stdlib's cap as well).
+#: One line is capped at the stream limit, 64 KiB.
+MAX_HEADERS = 100
 
 #: How long a drain waits for in-flight HTTP requests and worker exits
 #: before escalating to cancellation / SIGKILL.
@@ -88,6 +109,8 @@ DRAIN_TIMEOUT = 30.0
 #: stall behind it.
 STATS_TIMEOUT = 2.0
 
+_JSON = "application/json; charset=utf-8"
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -95,9 +118,19 @@ _HTTP_REASONS = {
     405: "Method Not Allowed",
     411: "Length Required",
     413: "Content Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _error_body(message: str, fields: list[dict[str, str]] | None = None) -> dict:
+    return {"error": {"message": message, "fields": fields or []}}
+
+
+def _json_bytes(body: Any) -> bytes:
+    return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
 class ShardUnavailable(Exception):
@@ -111,6 +144,16 @@ class ShardUnavailable(Exception):
 
 class _WorkerError(Exception):
     """The worker answered an ``error`` frame (handler bug, not crash)."""
+
+
+class _HttpError(Exception):
+    """Abort the current request with this status and JSON body."""
+
+    def __init__(self, status: int, body: dict[str, Any], *, close: bool = False):
+        super().__init__(body.get("error", {}).get("message", ""))
+        self.status = status
+        self.body = body
+        self.close = close
 
 
 class _PendingCall:
@@ -331,6 +374,26 @@ class _WorkerHandle:
         }
 
 
+class _InProcessShard:
+    """``--workers 0``: one :class:`ShardCore` in the front end's process.
+
+    Same ``call`` interface as a worker handle.  Each call runs in the
+    loop's default executor: inline on the loop thread, one long miss
+    or batch would block every other connection until it finished.
+    """
+
+    def __init__(self, core: ShardCore):
+        self.core = core
+
+    async def call(self, op: str, payload: Any) -> Any:
+        evaluate = getattr(self.core, op)  # test | partition | batch
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, evaluate, payload)
+
+    async def shutdown(self) -> None:
+        return None
+
+
 class _Conn:
     """One HTTP connection's drain-relevant state."""
 
@@ -341,8 +404,105 @@ class _Conn:
         self.busy = False
 
 
+@dataclass
+class _Request:
+    """One parsed request head plus the streams its body and an
+    interim ``100 Continue`` travel on."""
+
+    method: str
+    target: str
+    http10: bool
+    headers: dict[str, str]
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+
+    @property
+    def keep_alive(self) -> bool:
+        connection = self.headers.get("connection", "").lower()
+        if self.http10:
+            return connection == "keep-alive"
+        return connection != "close"
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One CRLF line; a line over the stream limit becomes ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the separator was not found within the limit
+        raise _HttpError(
+            status, _error_body(f"{what} exceeds 65536 bytes"), close=True
+        ) from None
+
+
+async def _read_head(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> _Request | None:
+    """Parse a request line and its headers; ``None`` at end of stream.
+
+    Raises :class:`_HttpError` (always closing) for a malformed request
+    line — the HTTP/0.9 form included — an overlong line, or more than
+    :data:`MAX_HEADERS` header lines.
+    """
+    line = await _read_line(reader, 414, "request line")
+    if not line.strip():
+        return None
+    words = line.decode("latin-1").split()
+    if len(words) != 3 or not words[2].startswith("HTTP/1."):
+        raise _HttpError(
+            400,
+            _error_body("malformed request line; expected 'METHOD /path HTTP/1.x'"),
+            close=True,
+        )
+    method, target, version = words
+    headers: dict[str, str] = {}
+    count = 0
+    while True:
+        line = await _read_line(reader, 431, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        count += 1
+        if count > MAX_HEADERS:
+            raise _HttpError(
+                431, _error_body(f"more than {MAX_HEADERS} header lines"), close=True
+            )
+        if b":" in line:
+            key, _, value = line.decode("latin-1").partition(":")
+            headers[key.strip().lower()] = value.strip()
+    return _Request(
+        method, target, version == "HTTP/1.0", headers, reader, writer
+    )
+
+
+async def _send(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: bytes,
+    content_type: str,
+    connection: str | None,
+) -> bool:
+    """Write one response in one write; ``False`` if the client is gone."""
+    reason = _HTTP_REASONS.get(status, "Unknown")
+    head = (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + (f"Connection: {connection}\r\n" if connection else "")
+        + "\r\n"
+    )
+    try:
+        writer.write(head.encode("latin-1") + body)
+        await writer.drain()
+    except (ConnectionError, OSError):
+        return False
+    return True
+
+
 class ShardedFrontend:
-    """The sharded service: one of these per listening address."""
+    """The service: one of these per listening address.
+
+    ``workers=0`` runs one in-process shard (``jobs`` sizes its batch
+    process pool); ``workers=N`` spawns N worker processes.
+    """
 
     def __init__(
         self,
@@ -350,13 +510,14 @@ class ShardedFrontend:
         port: int = 0,
         *,
         workers: int = 2,
+        jobs: int = 1,
         cache_size: int = 1024,
         backend: str | None = None,
         chaos: bool = False,
         quiet: bool = True,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
+        if workers < 0:
+            raise ValueError(f"workers must be non-negative, got {workers}")
         self.host = host
         self.port = port
         self.workers = workers
@@ -364,8 +525,16 @@ class ShardedFrontend:
         self.backend = backend
         self.chaos = chaos
         self.quiet = quiet
-        self.metrics = MetricsRegistry()
-        self.handles: list[_WorkerHandle] = []
+        #: the in-process shard's service (``workers=0`` only)
+        self.service: FeasibilityService | None = None
+        if workers == 0:
+            self.service = FeasibilityService(
+                jobs=jobs, cache_size=cache_size, backend=backend
+            )
+            self.metrics = self.service.metrics
+        else:
+            self.metrics = MetricsRegistry()
+        self.handles: list[Any] = []
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Conn] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -379,24 +548,26 @@ class ShardedFrontend:
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker pool and bind the listening socket."""
+        """Start the shards and bind the listening socket."""
         self._started = time.monotonic()
-        self.handles = [
-            _WorkerHandle(self, k) for k in range(self.workers)
-        ]
-        for handle in self.handles:
-            await handle.start()
+        if self.service is not None:
+            self.handles = [_InProcessShard(self.service.core)]
+        else:
+            self.handles = [
+                _WorkerHandle(self, k) for k in range(self.workers)
+            ]
+            for handle in self.handles:
+                await handle.start()
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
     async def drain(self) -> None:
-        """Graceful shutdown: HTTP first, then the worker fan-out."""
+        """Graceful shutdown: HTTP first, then the shards."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Idle keep-alive connections would wait forever for a next
         # request; close them.  Busy ones finish their response first.
         for conn in list(self._conns):
@@ -408,6 +579,10 @@ class ShardedFrontend:
             )
             for task in stragglers:
                 task.cancel()
+        # Since Python 3.12 this also waits for every connection to
+        # close, so it must come after the idle ones were closed.
+        if self._server is not None:
+            await self._server.wait_closed()
         await asyncio.gather(
             *(handle.shutdown() for handle in self.handles),
             return_exceptions=True,
@@ -437,110 +612,78 @@ class ShardedFrontend:
     ) -> None:
         while not self._stopping:
             try:
-                request_line = await reader.readline()
-            except (ConnectionError, OSError, asyncio.LimitOverrunError):
+                request = await _read_head(reader, writer)
+            except _HttpError as exc:
+                await _send(writer, exc.status, _json_bytes(exc.body), _JSON, "close")
                 return
-            if not request_line or request_line.strip() == b"":
+            except (ConnectionError, OSError):
                 return
-            try:
-                method, target, _version = (
-                    request_line.decode("latin-1").strip().split(" ", 2)
-                )
-            except ValueError:
-                return  # not HTTP; drop the connection
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                if b":" in line:
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-            close_after = headers.get("connection", "").lower() == "close"
+            if request is None:
+                return
             conn.busy = True
             try:
                 status, body_bytes, content_type, close = await self._serve_one(
-                    method, target, reader, headers
+                    request
                 )
             finally:
                 conn.busy = False
-            close = close or close_after or self._stopping
-            reason = _HTTP_REASONS.get(status, "Unknown")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body_bytes)}\r\n"
-                + ("Connection: close\r\n" if close else "")
-                + "\r\n"
-            )
-            try:
-                writer.write(head.encode("latin-1") + body_bytes)
-                await writer.drain()
-            except (ConnectionError, OSError):
+            close = close or not request.keep_alive or self._stopping
+            if close:
+                connection = "close"
+            else:
+                connection = "keep-alive" if request.http10 else None
+            if not await _send(writer, status, body_bytes, content_type, connection):
                 return
+            if not self.quiet:
+                self.log(
+                    f"{writer.get_extra_info('peername')} - "
+                    f'"{request.method} {request.target}" {status}'
+                )
             if close:
                 return
 
-    async def _serve_one(
-        self,
-        method: str,
-        target: str,
-        reader: asyncio.StreamReader,
-        headers: dict[str, str],
-    ) -> tuple[int, bytes, str, bool]:
-        """One request → (status, body, content type, close?).
-
-        Mirrors :mod:`repro.service.server`'s error mapping so the two
-        architectures answer malformed traffic identically.
-        """
-        path, _, query = target.partition("?")
+    async def _serve_one(self, request: _Request) -> tuple[int, bytes, str, bool]:
+        """One request → (status, body, content type, close?)."""
+        path, _, query = request.target.partition("?")
         t0 = time.perf_counter()
         status = 500
         close = False
         body: bytes = b""
-        content_type = "application/json; charset=utf-8"
+        content_type = _JSON
         try:
-            status, payload, content_type, close = await self._route(
-                method, path, query, reader, headers
+            status, payload, content_type = await self._route(
+                request, path, query
             )
-            if isinstance(payload, bytes):
-                body = payload
-            else:
-                body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            body = payload if isinstance(payload, bytes) else _json_bytes(payload)
         except ValidationError as exc:
             status = 400
-            body = json.dumps(exc.as_dict(), sort_keys=True).encode("utf-8")
+            body = _json_bytes(exc.as_dict())
         except ShardUnavailable as exc:
             status = 503
-            body = json.dumps(
-                _error_body(str(exc)), sort_keys=True
-            ).encode("utf-8")
+            body = _json_bytes(_error_body(str(exc)))
         except _HttpError as exc:
             status = exc.status
-            close = close or exc.close
-            body = json.dumps(exc.body, sort_keys=True).encode("utf-8")
+            close = exc.close
+            body = _json_bytes(exc.body)
         except (asyncio.IncompleteReadError, ConnectionError):
-            # Client hung up mid-body; same accounting as server.py.
+            # Client hung up mid-body.
             status = 499
             close = True
             body = b""
         except Exception:
+            # Never leak a traceback to the client.
             self.log(
                 f"unhandled error on {path}:\n{traceback.format_exc()}"
             )
             status = 500
-            body = json.dumps(
-                _error_body("internal server error"), sort_keys=True
-            ).encode("utf-8")
+            body = _json_bytes(_error_body("internal server error"))
         finally:
             self.metrics.observe(path, status, time.perf_counter() - t0)
         return status, body, content_type, close
 
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: dict[str, str]
-    ) -> Any:
+    async def _read_body(self, request: _Request) -> Any:
         try:
-            length = int(headers.get("content-length", ""))
+            length = int(request.headers.get("content-length", ""))
         except ValueError:
             raise _HttpError(
                 411, _error_body("Content-Length header is required"), close=True
@@ -557,7 +700,11 @@ class ShardedFrontend:
                 _error_body(f"request body exceeds {MAX_BODY_BYTES} bytes"),
                 close=True,
             )
-        raw = await reader.readexactly(length)
+        expect = request.headers.get("expect", "").lower()
+        if expect == "100-continue" and not request.http10:
+            request.writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await request.writer.drain()
+        raw = await request.reader.readexactly(length)
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -566,13 +713,8 @@ class ShardedFrontend:
             ) from None
 
     async def _route(
-        self,
-        method: str,
-        path: str,
-        query: str,
-        reader: asyncio.StreamReader,
-        headers: dict[str, str],
-    ) -> tuple[int, Any, str, bool]:
+        self, request: _Request, path: str, query: str
+    ) -> tuple[int, Any, str]:
         post_routes: dict[str, Callable[[Any], Awaitable[Any]]] = {
             "/v1/test": self._handle_test,
             "/v1/partition": self._handle_partition,
@@ -580,7 +722,7 @@ class ShardedFrontend:
         }
         get_paths = ("/healthz", "/metrics")
         known = list(get_paths) + list(post_routes)
-        if method == "POST":
+        if request.method == "POST":
             handler = post_routes.get(path)
             if handler is None:
                 if path in get_paths:
@@ -588,9 +730,9 @@ class ShardedFrontend:
                         405, _error_body("method not allowed; use GET"), close=True
                     )
                 raise _not_found(known)
-            payload = await self._read_body(reader, headers)
-            return 200, await handler(payload), "application/json; charset=utf-8", False
-        if method == "GET":
+            payload = await self._read_body(request)
+            return 200, await handler(payload), _JSON
+        if request.method == "GET":
             if path not in get_paths:
                 if path in post_routes:
                     raise _HttpError(
@@ -598,120 +740,61 @@ class ShardedFrontend:
                     )
                 raise _not_found(known)
             if path == "/healthz":
-                return 200, self._handle_healthz(), "application/json; charset=utf-8", False
+                return 200, self._handle_healthz(), _JSON
             fmt = "json"
             for part in query.split("&"):
                 if part.startswith("format="):
                     fmt = part[len("format="):]
             if fmt == "prometheus":
                 text = await self._metrics_prometheus()
-                return 200, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8", False
+                return 200, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
             if fmt != "json":
                 raise _HttpError(
                     400, _error_body("format must be 'json' or 'prometheus'")
                 )
-            return 200, await self._metrics_json(), "application/json; charset=utf-8", False
+            return 200, await self._metrics_json(), _JSON
         raise _HttpError(
             405, _error_body("method not allowed; use GET or POST"), close=True
         )
 
     # -- verdict endpoints --------------------------------------------------
-    def _shard_of(self, digest: str) -> _WorkerHandle:
-        return self.handles[shard_for_digest(digest, self.workers)]
+    def _shard_index(self, digest: str) -> int:
+        return shard_for_digest(digest, len(self.handles))
 
     async def _handle_test(self, payload: Any) -> dict[str, Any]:
-        q = parse_test_request(payload)
-        digest, _ = test_query_digest(q)
-        order = canonical_task_order(q.taskset)
-        unit = TestUnit(
-            digest=digest,
-            taskset=q.taskset,
-            order=tuple(order),
-            platform=q.platform,
-            scheduler=q.scheduler,
-            adversary=q.adversary,
-            alpha=q.alpha,
-        )
-        canon, cached = await self._shard_of(digest).call("test", unit)
-        return {
-            "digest": digest,
-            "cached": cached,
-            "report": _remap_report_dict(canon, order),
-        }
+        unit = parse_test_unit(payload)
+        shard = self.handles[self._shard_index(unit.digest)]
+        return respond_test(unit, await shard.call("test", unit))
 
     async def _handle_partition(self, payload: Any) -> dict[str, Any]:
-        q = parse_partition_request(payload)
-        digest = partition_query_digest(q)
-        order = canonical_task_order(q.taskset)
-        unit = PartitionUnit(
-            digest=digest,
-            taskset=q.taskset,
-            order=tuple(order),
-            platform=q.platform,
-            test=q.test,
-            alpha=q.alpha,
-        )
-        canon, cached = await self._shard_of(digest).call("partition", unit)
-        return {
-            "digest": digest,
-            "cached": cached,
-            "result": _remap_partition_dict(canon, order),
-        }
+        unit = parse_partition_unit(payload)
+        shard = self.handles[self._shard_index(unit.digest)]
+        return respond_partition(unit, await shard.call("partition", unit))
 
     async def _handle_batch(self, payload: Any) -> dict[str, Any]:
         """Split by shard, fan out concurrently, reassemble positionally."""
-        queries = parse_batch_request(payload)
-        orders: list[list[int]] = []
-        units: list[TestUnit] = []
+        units = parse_batch_units(payload)
         by_shard: dict[int, list[int]] = {}
-        for k, q in enumerate(queries):
-            digest, _ = test_query_digest(q)
-            order = canonical_task_order(q.taskset)
-            orders.append(order)
-            units.append(
-                TestUnit(
-                    digest=digest,
-                    taskset=q.taskset,
-                    order=tuple(order),
-                    platform=q.platform,
-                    scheduler=q.scheduler,
-                    adversary=q.adversary,
-                    alpha=q.alpha,
-                )
-            )
-            by_shard.setdefault(
-                shard_for_digest(digest, self.workers), []
-            ).append(k)
+        for k, unit in enumerate(units):
+            by_shard.setdefault(self._shard_index(unit.digest), []).append(k)
         shard_ids = sorted(by_shard)
         sub_results = await asyncio.gather(
             *(
-                self.handles[s].call(
-                    "batch", [units[k] for k in by_shard[s]]
-                )
+                self.handles[s].call("batch", [units[k] for k in by_shard[s]])
                 for s in shard_ids
             )
         )
-        outcomes: list[tuple[dict[str, Any], bool] | None] = [None] * len(queries)
+        outcomes: list[Any] = [None] * len(units)
         for s, result in zip(shard_ids, sub_results):
             for k, outcome in zip(by_shard[s], result):
                 outcomes[k] = outcome
-        hits = sum(1 for o in outcomes if o is not None and o[1])
-        return {
-            "count": len(queries),
-            "cached": hits,
-            "results": [
-                {
-                    "digest": units[k].digest,
-                    "cached": cached,
-                    "report": _remap_report_dict(canon, orders[k]),
-                }
-                for k, (canon, cached) in enumerate(outcomes)  # type: ignore[misc]
-            ],
-        }
+        return respond_batch(units, outcomes)
 
     # -- observability endpoints --------------------------------------------
     def _handle_healthz(self) -> dict[str, Any]:
         """Aggregate health: degraded when any worker is dead or restarting."""
+        if self.service is not None:
+            return self.service.handle_healthz()
         shards = [h.snapshot(None) for h in self.handles]
         for s in shards:
             s.pop("stats")
@@ -750,6 +833,8 @@ class ShardedFrontend:
         return [h.snapshot(s) for h, s in zip(self.handles, stats)]
 
     async def _metrics_json(self) -> dict[str, Any]:
+        if self.service is not None:
+            return self.service.metrics_json()
         return {
             "frontend": self.metrics.as_dict(),
             "uptime_seconds": time.monotonic() - self._started,
@@ -759,19 +844,11 @@ class ShardedFrontend:
         }
 
     async def _metrics_prometheus(self) -> str:
+        if self.service is not None:
+            return self.service.metrics_prometheus()
         return self.metrics.render_prometheus() + render_shard_prometheus(
             await self._poll_shards()
         )
-
-
-class _HttpError(Exception):
-    """Abort the current request with this status and JSON body."""
-
-    def __init__(self, status: int, body: dict[str, Any], *, close: bool = False):
-        super().__init__(body.get("error", {}).get("message", ""))
-        self.status = status
-        self.body = body
-        self.close = close
 
 
 def _not_found(known: list[str]) -> _HttpError:
@@ -786,19 +863,21 @@ def serve_sharded(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    workers: int = 2,
+    workers: int = 0,
+    jobs: int = 1,
     cache_size: int = 1024,
     backend: str | None = None,
     chaos: bool = False,
     quiet: bool = True,
 ) -> int:
-    """Run the sharded front end until SIGTERM/SIGINT, drain, exit 0."""
+    """Run the front end until SIGTERM/SIGINT, drain, exit 0."""
 
     async def main() -> int:
         frontend = ShardedFrontend(
             host,
             port,
             workers=workers,
+            jobs=jobs,
             cache_size=cache_size,
             backend=backend,
             chaos=chaos,
@@ -809,25 +888,25 @@ def serve_sharded(
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, stop.set)
+        shards = f"jobs={jobs}" if workers == 0 else f"workers={workers}"
         print(
-            f"repro.service.frontend listening on "
+            f"repro.service listening on "
             f"http://{host}:{frontend.bound_port} "
-            f"(workers={workers}, cache_size={cache_size}, "
+            f"({shards}, cache_size={cache_size}, "
             f"backend={backend or 'scalar'})",
             file=sys.stderr,
             flush=True,
         )
         await stop.wait()
         print(
-            "repro.service.frontend shutting down: draining requests "
-            "and worker pool...",
+            "repro.service shutting down: draining in-flight requests...",
             file=sys.stderr,
             flush=True,
         )
         await frontend.drain()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.remove_signal_handler(sig)
-        print("repro.service.frontend stopped", file=sys.stderr, flush=True)
+        print("repro.service stopped", file=sys.stderr, flush=True)
         return 0
 
     return asyncio.run(main())

@@ -60,7 +60,7 @@ class TestUnit:
     The front end has already validated the payload, computed the
     canonical ``digest`` and task ``order``; the worker subsets the
     taskset into canonical order only on a cache miss — the same lazy
-    discipline as the single-process service.
+    discipline as the in-process shard.
     """
 
     digest: str

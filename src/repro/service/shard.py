@@ -4,11 +4,11 @@ Two layers live here:
 
 * :class:`ShardCore` — the transport-free unit of serving state: one
   bounded LRU of canonical verdicts plus the evaluation paths (scalar /
-  kernel-batch) that fill it.  Both the single-process
-  :class:`~repro.service.app.FeasibilityService` and every shard worker
-  run *this exact code*, which is what makes sharded responses
-  bit-identical to the single-process server by construction rather
-  than by testing luck.
+  kernel-batch) that fill it.  The in-process shard of ``repro serve``
+  (through :class:`~repro.service.app.FeasibilityService`) and every
+  shard worker run *this exact code*, which is what makes responses
+  bit-identical across worker counts by construction rather than by
+  testing luck.
 * :func:`worker_main` — the shard worker process entry point
   (``python -m repro.service.shard --fd N``): a blocking frame loop
   over the socketpair inherited from the front end.  One worker owns
@@ -17,14 +17,16 @@ Two layers live here:
   each worker needs no coordination at all.
 
 Canonical-query digest helpers (:func:`test_query_digest`,
-:func:`partition_query_digest`) also live here so the front end and the
-single-process service can never disagree on a cache key.
+:func:`partition_query_digest`) also live here so every caller computes
+the same cache key.
 """
 
 # repro: noqa-file[REP006, REP010] — a shard worker is serial by
 # construction (one frame loop, one thread, one process); its counters
 # and core are never touched concurrently, which is the whole point of
-# sharding, so no caller chain needs to hold a lock either.
+# sharding, so no caller chain needs to hold a lock either.  The
+# in-process shard calls a ShardCore from executor threads; its only
+# shared state, the LRU and the on_backend metrics, lock themselves.
 
 from __future__ import annotations
 
@@ -203,7 +205,7 @@ class ShardCore:
     def batch(self, units: list[TestUnit]) -> list[tuple[dict[str, Any], bool]]:
         """Cache-aware batch evaluation, results in ``units`` order.
 
-        The discipline is the single-process server's, verbatim: scan
+        The discipline is the same for every shard: scan
         every unit against the cache first (classifying hit/miss),
         dedup misses by digest (permutations of one instance evaluate
         once), evaluate the distinct misses — scalar path through

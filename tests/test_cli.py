@@ -46,8 +46,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--jobs", "-1"])
 
+    def test_serve_workers(self):
+        assert build_parser().parse_args(["serve"]).workers == 0
+        args = build_parser().parse_args(["serve", "--workers", "3"])
+        assert args.workers == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "-1"])
+
 
 class TestCommands:
+    @pytest.mark.parametrize(
+        "extra, workers, jobs",
+        [([], 0, 1), (["--jobs", "3"], 0, 3), (["--workers", "2"], 2, 1)],
+    )
+    def test_serve_runs_the_front_end(self, monkeypatch, extra, workers, jobs):
+        """Every --workers value, 0 included, is served by one stack."""
+        calls = []
+
+        def fake_serve(host, port, **kwargs):
+            calls.append((host, port, kwargs))
+            return 0
+
+        monkeypatch.setattr("repro.service.frontend.serve_sharded", fake_serve)
+        assert main(["serve", "--port", "0", *extra]) == 0
+        [(host, port, kwargs)] = calls
+        assert (host, port) == ("127.0.0.1", 0)
+        assert kwargs["workers"] == workers
+        assert kwargs["jobs"] == jobs
+        assert kwargs["cache_size"] == 1024
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -3,15 +3,14 @@
 The generator's whole value is replayability — every sequence it emits
 (corpus bodies, access order, arrival times) must be a pure function of
 the profile seed — so most tests here are determinism tests.  The
-harness smoke tests drive a real in-thread single-process server, the
-same topology the CI loadgen smoke job exercises against the sharded
-one.
+harness smoke tests drive a real in-thread ``repro serve`` front end
+with its default in-process shard; the CI loadgen smoke job drives the
+same front end with and without worker processes.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -33,8 +32,8 @@ from repro.loadgen.profiles import (
     stream_seed,
     zipf_draws,
 )
-from repro.service.server import make_server
 from repro.service.validation import parse_test_request
+from tests.live_server import LiveServer
 
 
 class TestArrivals:
@@ -222,14 +221,8 @@ class TestProfiles:
 
 @pytest.fixture(scope="module")
 def live_server():
-    srv = make_server(port=0, cache_size=256)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    host, port = srv.server_address[:2]
-    yield host, port
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
+    with LiveServer(cache_size=256) as srv:
+        yield srv.host, srv.port
 
 
 class TestHttpClient:

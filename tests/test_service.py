@@ -1,10 +1,13 @@
 """Live-server tests for the feasibility-query service.
 
-A real ``ThreadingHTTPServer`` on an ephemeral port, exercised through
-``ServiceClient`` and raw sockets: correctness-vs-direct-call
-equivalence, canonical-instance cache behaviour, concurrent clients,
-structured error paths, metrics, transport (one write per response on a
-``TCP_NODELAY`` socket), and graceful shutdown.
+The ``repro serve`` front end with its default in-process shard, on an
+ephemeral port, exercised through ``ServiceClient`` and raw sockets:
+correctness-vs-direct-call equivalence, canonical-instance cache
+behaviour, concurrent clients, structured error paths, metrics,
+transport (one write per response on a ``TCP_NODELAY`` socket), HTTP
+edge cases (HTTP/1.0, ``Expect: 100-continue``, header limits,
+malformed request lines), evaluation off the event loop, and graceful
+shutdown.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from repro.io_.serialize import (
     report_to_dict,
     taskset_to_dict,
 )
-from repro.service import LRUCache, ServiceClient, ServiceError, make_server
-from repro.service.server import MAX_BODY_BYTES, ReproRequestHandler
+from repro.service import LRUCache, ServiceClient, ServiceError, ShardCore
+from repro.service.frontend import MAX_BODY_BYTES, MAX_HEADERS, ShardedFrontend
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
+from tests.live_server import LiveServer
 
 
 def _instance(seed: int, n: int = 12, stress: float = 0.9):
@@ -63,19 +67,13 @@ def _rejected_instance():
 
 @pytest.fixture(scope="module")
 def server():
-    srv = make_server(port=0, jobs=1, cache_size=256)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
+    with LiveServer(jobs=1, cache_size=256) as srv:
+        yield srv
 
 
 @pytest.fixture(scope="module")
 def base_url(server):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}"
+    return server.url
 
 
 @pytest.fixture(scope="module")
@@ -408,60 +406,74 @@ def _read_response(reader) -> tuple[int, bytes]:
     return status, reader.read(length)
 
 
-class _CountingWriter:
-    """Wraps a handler's ``wfile`` and logs every write's bytes."""
+def _recv_all(sock) -> bytes:
+    """Everything the server sends until it closes the connection.
 
-    def __init__(self, wfile, log: list[bytes]):
-        self._wfile = wfile
-        self._log = log
+    A server that closes with request bytes still unread (an oversized
+    header, say) makes the kernel send a reset after the response; the
+    response has arrived by then, so a reset ends the read like EOF.
+    """
+    received = b""
+    try:
+        while chunk := sock.recv(65536):
+            received += chunk
+    except ConnectionResetError:
+        pass
+    return received
 
-    def write(self, data) -> int:
-        self._log.append(bytes(data))
-        return self._wfile.write(data)
 
-    def __getattr__(self, name: str):
-        return getattr(self._wfile, name)
+def _split_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
+    """Status, lower-cased headers and body of one raw response."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers, body
 
 
-class _CountingHandler(ReproRequestHandler):
+class _CountingFrontend(ShardedFrontend):
     """Logs, per connection, the writes and the socket's TCP_NODELAY."""
 
-    def setup(self) -> None:
-        super().setup()
+    connections: list[tuple[int, list[bytes]]]
+
+    async def _handle_conn(self, reader, writer):
         writes: list[bytes] = []
-        nodelay = self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        self.server.connections.append((nodelay, writes))  # type: ignore[attr-defined]
-        self.wfile = _CountingWriter(self.wfile, writes)
+        nodelay = writer.get_extra_info("socket").getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY
+        )
+        self.connections.append((nodelay, writes))
+        write = writer.write
+
+        def counting_write(data) -> None:
+            writes.append(bytes(data))
+            write(data)
+
+        writer.write = counting_write
+        await super()._handle_conn(reader, writer)
 
 
 class TestTransport:
-    """Each response the handler emits leaves in one write on a socket
+    """Each response the server emits leaves in one write on a socket
     with Nagle off, so no response waits on the client's delayed ACK."""
 
     @pytest.fixture(scope="class")
     def counting_server(self):
-        srv = make_server(port=0, jobs=1, cache_size=64)
-        srv.RequestHandlerClass = _CountingHandler
-        srv.connections = []
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        thread.join(timeout=10)
-        srv.server_close()
+        with LiveServer(_CountingFrontend, jobs=1, cache_size=64) as srv:
+            srv.frontend.connections = []
+            yield srv
 
     def _exchange(self, srv, request: bytes) -> bytes:
         """One request on a fresh connection that the server closes after
         the response; asserts it arrived in one write and returns it."""
-        host, port = srv.server_address[:2]
-        before = len(srv.connections)
-        with socket.create_connection((host, port), timeout=30) as sock:
+        connections = srv.frontend.connections
+        before = len(connections)
+        with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
             sock.sendall(request)
-            received = b""
-            while chunk := sock.recv(65536):
-                received += chunk
-        assert len(srv.connections) == before + 1
-        nodelay, writes = srv.connections[-1]
+            received = _recv_all(sock)
+        assert len(connections) == before + 1
+        nodelay, writes = connections[-1]
         assert nodelay, "accepted socket must have TCP_NODELAY set"
         assert len(writes) == 1, [len(w) for w in writes]
         assert writes[0] == received
@@ -483,23 +495,25 @@ class TestTransport:
             (400, _http_request("POST", "/v1/test", None, close, "Content-Length: -1")),
             (404, _http_request("POST", "/v1/nope", b"{}", close)),
             (405, _http_request("GET", "/v1/test", None, close)),
+            (405, _http_request("PUT", "/healthz", None, close)),
             (411, _http_request("POST", "/v1/test", None, close)),
             (413, _http_request(
                 "POST", "/v1/test", None, close,
                 f"Content-Length: {MAX_BODY_BYTES + 1}",
             )),
+            # HTTP/0.9 and other malformed request lines
+            (400, b"GET /healthz\r\n\r\n"),
+            (414, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"),
+            (431, _http_request("GET", "/healthz", None, "X-Big: " + "a" * 70_000)),
         ]
         for expected, request in cases:
             received = self._exchange(counting_server, request)
             assert received.startswith(b"HTTP/1.1 %d " % expected), request[:40]
-        # HTTP/0.9: the body alone, with no head, in one write as well
-        received = self._exchange(counting_server, b"GET /healthz\r\n\r\n")
-        assert json.loads(received)["status"] == "ok"
 
-        def boom(payload):
+        def boom(unit):
             raise RuntimeError("planted handler bug")
 
-        monkeypatch.setattr(counting_server.service, "handle_test", boom)
+        monkeypatch.setattr(counting_server.frontend.service.core, "test", boom)
         received = self._exchange(
             counting_server,
             _http_request("POST", "/v1/test", json.dumps(body).encode(), close),
@@ -516,7 +530,7 @@ class TestTransport:
         )
         with (
             socket.create_connection((host, int(port)), timeout=30) as sock,
-            sock.makefile("rb") as reader,  # closing it frees the handler thread
+            sock.makefile("rb") as reader,
         ):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(request)  # warm the cache
@@ -530,6 +544,122 @@ class TestTransport:
                 assert status == 200
                 assert json.loads(raw)["cached"] is True
         assert statistics.median(round_trips) < 0.020, round_trips
+
+
+class TestHttpEdges:
+    """HTTP/1.1 behaviours clients rely on beyond the happy path."""
+
+    @staticmethod
+    def _connect(server):
+        return socket.create_connection((server.host, server.port), timeout=2)
+
+    def test_http10_closes_after_the_response(self, server):
+        with self._connect(server) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            # socket.timeout (2 s) if the server kept the connection open
+            status, headers, body = _split_response(_recv_all(sock))
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_http10_keep_alive_on_request(self, server):
+        request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with self._connect(server) as sock, sock.makefile("rb") as reader:
+            for _ in range(2):
+                sock.sendall(request)
+                status, raw = _read_response(reader)
+                assert status == 200
+                assert json.loads(raw)["status"] == "ok"
+
+    def test_expect_100_continue(self, server):
+        body = json.dumps(_instance_body(24)).encode()
+        head = _http_request(
+            "POST", "/v1/test", None,
+            "Expect: 100-continue", f"Content-Length: {len(body)}",
+        )
+        with self._connect(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(head)
+            # the interim response comes before the body is sent
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            status, raw = _read_response(reader)
+        assert status == 200
+        assert json.loads(raw)["report"]["accepted"] in (True, False)
+
+    def test_expect_100_continue_not_sent_for_a_refused_body(self, server):
+        request = _http_request(
+            "POST", "/v1/test", None,
+            "Expect: 100-continue", f"Content-Length: {MAX_BODY_BYTES + 1}",
+        )
+        with self._connect(server) as sock:
+            sock.sendall(request)
+            status, headers, body = _split_response(_recv_all(sock))
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert "exceeds" in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "extra, expected, message",
+        [
+            # Host and Connection are header lines too
+            ([f"X-H{k}: v" for k in range(MAX_HEADERS - 2)], 200, None),
+            ([f"X-H{k}: v" for k in range(MAX_HEADERS - 1)], 431, "more than"),
+            (["X-Big: " + "a" * 70_000], 431, "exceeds"),
+        ],
+        ids=["at-cap", "over-cap", "long-line"],
+    )
+    def test_header_limits(self, server, extra, expected, message):
+        request = _http_request("GET", "/healthz", None, "Connection: close", *extra)
+        with self._connect(server) as sock:
+            sock.sendall(request)
+            status, headers, body = _split_response(_recv_all(sock))
+        assert status == expected
+        assert headers["connection"] == "close"
+        if message is None:
+            assert json.loads(body)["status"] == "ok"
+        else:
+            assert message in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "line", [b"GET /healthz", b"NONSENSE", b"GET /healthz HTTP/2.0", b"GET / / HTTP/1.1"]
+    )
+    def test_malformed_request_line_gets_400_and_close(self, server, line):
+        with self._connect(server) as sock:
+            sock.sendall(line + b"\r\n\r\n")
+            status, headers, body = _split_response(_recv_all(sock))
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "malformed request line" in json.loads(body)["error"]["message"]
+
+
+class TestEvaluationOffLoop:
+    def test_slow_evaluation_does_not_block_healthz(self, monkeypatch):
+        """The in-process shard evaluates in the loop's executor: a slow
+        verdict leaves the event loop free for other connections."""
+        started = threading.Event()
+        real_test = ShardCore.test
+
+        def slow_test(core, unit):
+            started.set()
+            time.sleep(0.5)
+            return real_test(core, unit)
+
+        monkeypatch.setattr(ShardCore, "test", slow_test)
+        body = json.dumps(_instance_body(25)).encode()
+        with LiveServer(cache_size=16) as srv:
+            slow = threading.Thread(
+                target=_raw_post, args=(srv.url, "/v1/test", body)
+            )
+            slow.start()
+            assert started.wait(timeout=10)
+            t0 = time.perf_counter()
+            with urllib.request.urlopen(srv.url + "/healthz", timeout=10) as resp:
+                assert json.loads(resp.read())["status"] == "ok"
+            elapsed = time.perf_counter() - t0
+            slow.join(timeout=10)
+            assert not slow.is_alive()
+        assert elapsed < 0.1, elapsed
 
 
 class TestConstrainedValidation:
@@ -604,18 +734,8 @@ class TestConstrainedValidation:
         assert "instances[1].taskset.tasks[0].deadline" in fields
 
         for backend in ("kernel", "numpy"):
-            srv = make_server(port=0, jobs=1, cache_size=16, backend=backend)
-            thread = threading.Thread(target=srv.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = srv.server_address[:2]
-                status, body = _raw_post(
-                    f"http://{host}:{port}", "/v1/batch", payload
-                )
-            finally:
-                srv.shutdown()
-                thread.join(timeout=10)
-                srv.server_close()
+            with LiveServer(cache_size=16, backend=backend) as srv:
+                status, body = _raw_post(srv.url, "/v1/batch", payload)
             assert status == scalar_status, backend
             assert body == scalar_body, backend
 
@@ -660,21 +780,19 @@ class TestMetrics:
 
 
 class TestGracefulShutdown:
-    def test_inflight_request_drains_before_close(self):
-        srv = make_server(port=0, jobs=1, cache_size=16)
-        host, port = srv.server_address[:2]
-        accept_thread = threading.Thread(target=srv.serve_forever)
-        accept_thread.start()
+    def test_inflight_request_drains_before_close(self, monkeypatch):
         started = threading.Event()
         release = threading.Event()
+        real_test = ShardCore.test
 
-        def hold(endpoint: str) -> None:
-            if endpoint == "/v1/test":
-                started.set()
-                assert release.wait(timeout=30)
+        def hold(core, unit):
+            started.set()
+            assert release.wait(timeout=30)
+            return real_test(core, unit)
 
-        srv.service.before_handle = hold
-        local_client = ServiceClient(f"http://{host}:{port}")
+        monkeypatch.setattr(ShardCore, "test", hold)
+        srv = LiveServer(cache_size=16)
+        local_client = ServiceClient(srv.url)
         taskset, platform = _instance(9)
         box = {}
 
@@ -685,15 +803,23 @@ class TestGracefulShutdown:
         request_thread.start()
         try:
             assert started.wait(timeout=30)
-            # Stop the accept loop while the request is still in flight.
-            srv.shutdown()
-            accept_thread.join(timeout=10)
-            assert not accept_thread.is_alive()
+            # Start the drain while the request is still in flight: the
+            # listener closes, the busy connection holds the drain open.
+            drain = srv.start_drain()
+            deadline = time.monotonic() + 10
+            while srv.frontend._server.is_serving():
+                assert time.monotonic() < deadline, "listener still open"
+                time.sleep(0.01)
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((srv.host, srv.port), timeout=1)
+            assert not drain.done()
             assert request_thread.is_alive()
         finally:
             release.set()
         request_thread.join(timeout=30)
-        srv.server_close()  # joins the handler thread (block_on_close)
+        assert not request_thread.is_alive()
+        drain.result(timeout=30)
+        srv.close()
         assert box["response"]["report"] == report_to_dict(
             feasibility_test(taskset, platform)
         )

@@ -4,10 +4,10 @@ Three layers:
 
 * unit — digest→shard routing, the frame protocol over a real
   socketpair, and the per-shard Prometheus rendering;
-* cross-process determinism — the sharded server's ``/v1/test``,
-  ``/v1/partition``, and ``/v1/batch`` responses must be byte-identical
-  to the single-process server for every worker count (1, 2, 4) and
-  evaluation backend;
+* cross-process determinism — the ``/v1/test``, ``/v1/partition``, and
+  ``/v1/batch`` responses of ``repro serve --workers N`` must be
+  byte-identical to the in-process shard's for every worker count
+  (0, 1, 2, 4) and evaluation backend;
 * robustness — a worker killed mid-request (chaos fault injection) is
   respawned with an empty cache, the poisoned request is replayed once
   before surfacing a 503, and a SIGTERM drain under load finishes the
@@ -43,10 +43,10 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.service.server import make_server
 from repro.service.shard import CHAOS_EXIT_NAME, CHAOS_SLEEP_PREFIX
 from repro.workloads.builder import generate_taskset
 from repro.workloads.platforms import geometric_platform
+from tests.live_server import LiveServer
 
 
 def _request_body(seed: int, n: int = 8, scheduler: str = "edf",
@@ -290,26 +290,20 @@ class TestHealthzAggregation:
 
 @pytest.fixture()
 def reference():
-    """Fresh single-process reference server per test.
+    """Fresh in-process reference server per test.
 
     Function-scoped on purpose: the byte-identity tests compare cold
     verdicts (``cached: false``) on both sides, so the reference cache
     must not stay warm across parametrized runs.
     """
-    srv = make_server(port=0, cache_size=4096)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    host, port = srv.server_address[:2]
-    yield f"http://{host}:{port}"
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
+    with LiveServer(cache_size=4096) as srv:
+        yield srv.url
 
 
 class TestCrossProcessDeterminism:
     """The acceptance property: bytes must not depend on the topology."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
     def test_test_and_partition_bytes_match_reference(self, reference, workers):
         bodies = [_request_body(seed) for seed in range(6)]
         partition = {
